@@ -137,7 +137,8 @@ inline std::vector<QuickBench> BuildQuickSuite(const GateBenchConfig& cfg) {
   // shape — the regime the compiled match pipeline (DESIGN.md "Match
   // pipeline") targets. Gates plan compilation, merged-walk candidate
   // probes, and the selection-vector stages on top of the solve; the
-  // abl_match_pipeline bench separately pins the on/off equivalence.
+  // MatchPipelineParityTest suite separately pins its answers against the
+  // interpreted reference semantics.
   {
     WhyFactoryOptions factory = GateFactory(cfg.seed);
     factory.query.max_literals = 5;

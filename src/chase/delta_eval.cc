@@ -1,24 +1,11 @@
 #include "chase/delta_eval.h"
 
-#include <chrono>
 #include <functional>
-#include <string>
 #include <utility>
 
 #include "match/candidate_set.h"
 
 namespace wqe {
-
-namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 DeltaEvaluator::DeltaEvaluator(ChaseContext& ctx) : ctx_(ctx) {
   obs::Observability& o = ctx.obs();
@@ -56,7 +43,7 @@ DeltaEvaluator::DeltaClass DeltaEvaluator::ClassifyDelta(
 std::vector<NodeId> DeltaEvaluator::RelaxDelta(
     const PatternQuery& q, const EvalResult& parent,
     std::shared_ptr<const StarEvalState>* state) {
-  StarMatcher& sm = ctx_.star_matcher_;
+  StarMatcher& sm = ctx_.star_matcher();
   // Relaxation may enlarge the candidate space, so every star table is
   // needed at full strength: reuse unchanged ones, materialize the rest.
   const uint64_t reuse_before = sm.stats().reuse_hits;
@@ -79,12 +66,12 @@ std::vector<NodeId> DeltaEvaluator::RelaxDelta(
   c_reverified_->Inc(to_verify.size());
 
   std::function<double(NodeId)> priority = [this](NodeId v) {
-    return ctx_.rep_.ClosenessOf(v);
+    return ctx_.rep().ClosenessOf(v);
   };
-  const uint64_t t0 = NowNs();
+  const uint64_t t0 = obs::MonotonicNowNs();
   std::vector<NodeId> verified =
       sm.VerifyCandidates(q, std::move(to_verify), allowed, &priority);
-  h_reverify_ns_->Observe(NowNs() - t0);
+  h_reverify_ns_->Observe(obs::MonotonicNowNs() - t0);
 
   *state = std::move(st);
   return match::CandidateSet::Union(parent.matches, verified);
@@ -93,7 +80,7 @@ std::vector<NodeId> DeltaEvaluator::RelaxDelta(
 std::vector<NodeId> DeltaEvaluator::RefineDelta(
     const PatternQuery& q, const EvalResult& parent,
     std::shared_ptr<const StarEvalState>* state) {
-  StarMatcher& sm = ctx_.star_matcher_;
+  StarMatcher& sm = ctx_.star_matcher();
   // Q'(G) ⊆ Q(G): only the parent's matches can survive, and verification
   // is complete without any table — so take tables opportunistically (reuse
   // or a cache peek) and never pay a materialization. Absent tables merely
@@ -122,12 +109,12 @@ std::vector<NodeId> DeltaEvaluator::RefineDelta(
   c_reverified_->Inc(candidates.size());
 
   std::function<double(NodeId)> priority = [this](NodeId v) {
-    return ctx_.rep_.ClosenessOf(v);
+    return ctx_.rep().ClosenessOf(v);
   };
-  const uint64_t t0 = NowNs();
+  const uint64_t t0 = obs::MonotonicNowNs();
   std::vector<NodeId> verified =
       sm.VerifyCandidates(q, std::move(candidates), allowed, &priority);
-  h_reverify_ns_->Observe(NowNs() - t0);
+  h_reverify_ns_->Observe(obs::MonotonicNowNs() - t0);
 
   *state = std::move(st);
   return verified;
@@ -143,48 +130,12 @@ std::shared_ptr<EvalResult> DeltaEvaluator::Evaluate(
     return ctx_.Evaluate(q, std::move(ops));
   }
 
-  // From here on this is ChaseContext::Evaluate with only the match-set
-  // computation swapped out — memo, stats, classification, and latency
-  // accounting must stay in lockstep with the full path.
-  WQE_SPAN("chase.evaluate");
-  const uint64_t t0 = NowNs();
-  auto result = std::make_shared<EvalResult>();
-  result->query = q;
-  result->cost = ctx_.SeqCost(ops);
-  for (const Op& op : ops.ops()) {
-    if (op.is_refine()) result->refined = true;
-  }
-  result->ops = std::move(ops);
-
-  const std::string fp = q.Fingerprint();
-  auto memo = ctx_.opts_.use_memo ? ctx_.match_memo_.find(fp)
-                                  : ctx_.match_memo_.end();
-  if (ctx_.opts_.use_memo && memo != ctx_.match_memo_.end()) {
-    ++ctx_.stats_.memo_hits;
-    ctx_.c_memo_hits_->Inc();
-    result->matches = memo->second;
-  } else {
-    ++ctx_.stats_.evaluations;
-    ctx_.c_evaluations_->Inc();
-    c_delta_hits_->Inc();
-    std::shared_ptr<const StarEvalState> state;
-    result->matches = cls == DeltaClass::kRelax
-                          ? RelaxDelta(q, *parent, &state)
-                          : RefineDelta(q, *parent, &state);
-    result->star_state = std::move(state);
-    if (ctx_.opts_.use_memo) ctx_.match_memo_.emplace(fp, result->matches);
-  }
-
-  result->rel = Classify(ctx_.universe_, result->matches, ctx_.rep_);
-  result->cl = result->rel.AnswerCloseness(ctx_.opts_.closeness.lambda);
-  result->cl_plus = result->rel.UpperBound();
-  if (!result->matches.empty()) {
-    RepResult over_answer =
-        ComputeRep(ctx_.closeness_, ctx_.w_.exemplar, result->matches);
-    result->satisfies_exemplar = over_answer.nontrivial;
-  }
-  ctx_.h_evaluate_ns_->Observe(NowNs() - t0);
-  return result;
+  return ctx_.EvaluateWith(
+      q, std::move(ops), [&](std::shared_ptr<const StarEvalState>* state) {
+        c_delta_hits_->Inc();
+        return cls == DeltaClass::kRelax ? RelaxDelta(q, *parent, state)
+                                         : RefineDelta(q, *parent, state);
+      });
 }
 
 }  // namespace wqe

@@ -38,9 +38,10 @@ namespace wqe {
 /// query exactly. Multi-focus joint evaluation never enters this path — its
 /// solver evaluates per focus through the context directly.
 ///
-/// The evaluator is a friend of ChaseContext: the delta path must mirror the
-/// full path's memo, stats, and metrics accounting exactly (a delta hit is
-/// still one chase evaluation), which shared member access keeps honest.
+/// Only the match-set computation is the evaluator's own: the memo, the
+/// evaluation counters and the judging of the answer run in
+/// ChaseContext::EvaluateWith exactly as for a full evaluation (a delta hit
+/// is still one chase evaluation).
 class DeltaEvaluator {
  public:
   explicit DeltaEvaluator(ChaseContext& ctx);

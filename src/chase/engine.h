@@ -293,7 +293,8 @@ WhyAnswer MakeAnswer(const EvalResult& eval);
 void Finalize(ChaseContext& ctx, ChaseState& state, TerminationReason reason,
               ChaseResult* result);
 
-/// The default evaluator: ChaseContext::Evaluate (star views, cache, memo).
+/// The default evaluator: a DeltaEvaluator over `ctx` (star views, cache,
+/// memo; children of an evaluated node are evaluated as deltas).
 EvalFn ContextEval(ChaseContext& ctx);
 
 /// Session-level ChaseStats accumulation (moved out of session.cc so every

@@ -1,7 +1,6 @@
 #include "chase/eval.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "store/artifact_store.h"
@@ -57,13 +56,6 @@ DistanceIndex LoadOrBuildDist(const Graph& g, size_t num_threads,
   DistanceIndex d(g, opts);
   if (store != nullptr) store->SaveDistanceIndex(d, opts);
   return d;
-}
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 }  // namespace
@@ -181,7 +173,6 @@ ChaseContext::ChaseContext(const Graph& g, GraphIndexes* indexes,
   star_matcher_.set_num_threads(opts_.num_threads);
   star_matcher_.set_observability(obs_);
   star_matcher_.set_shared_plans(shared_plans);
-  star_matcher_.set_use_pipeline(opts_.use_match_pipeline);
   // Only the private cache reports into this context's scope. A shared cache
   // is cross-request state: its owner (session, runner, server) wires it to
   // one long-lived scope — rewiring it per context would race concurrent
@@ -224,53 +215,69 @@ uint64_t ChaseContext::graph_fingerprint() {
   return graph_fingerprint_;
 }
 
-std::shared_ptr<EvalResult> ChaseContext::Evaluate(const PatternQuery& q,
-                                                   OpSequence ops) {
-  WQE_SPAN("chase.evaluate");
-  const uint64_t t0 = NowNs();
+std::shared_ptr<EvalResult> ChaseContext::NewResult(PatternQuery q,
+                                                    OpSequence ops,
+                                                    double cost) {
   auto result = std::make_shared<EvalResult>();
-  result->query = q;
-  result->cost = SeqCost(ops);
+  result->query = std::move(q);
+  result->cost = cost;
   for (const Op& op : ops.ops()) {
     if (op.is_refine()) result->refined = true;
   }
   result->ops = std::move(ops);
+  return result;
+}
+
+void ChaseContext::JudgeAnswer(EvalResult& result) const {
+  result.rel = Classify(universe_, result.matches, rep_);
+  result.cl = result.rel.AnswerCloseness(opts_.closeness.lambda);
+  result.cl_plus = result.rel.UpperBound();
+  // Q(G) ⊨ ℰ: the answer set itself must satisfy every tuple pattern and
+  // constraint. Re-running the Lemma 2.2 procedure over the (small) match
+  // set decides this exactly.
+  if (!result.matches.empty()) {
+    result.satisfies_exemplar =
+        ComputeRep(closeness_, w_.exemplar, result.matches).nontrivial;
+  }
+}
+
+std::shared_ptr<EvalResult> ChaseContext::EvaluateWith(
+    const PatternQuery& q, OpSequence ops, MatchSetFn compute_matches) {
+  WQE_SPAN("chase.evaluate");
+  const uint64_t t0 = obs::MonotonicNowNs();
+  const double cost = SeqCost(ops);
+  auto result = NewResult(q, std::move(ops), cost);
 
   const std::string fp = q.Fingerprint();
   auto memo = opts_.use_memo ? match_memo_.find(fp) : match_memo_.end();
-  if (opts_.use_memo && memo != match_memo_.end()) {
+  if (memo != match_memo_.end()) {
     ++stats_.memo_hits;
     c_memo_hits_->Inc();
     result->matches = memo->second;
   } else {
     ++stats_.evaluations;
     c_evaluations_->Inc();
-    // Verify exemplar-close candidates first (TA-style ordering, §5.2).
-    std::function<double(NodeId)> priority = [this](NodeId v) {
-      return rep_.ClosenessOf(v);
-    };
-    auto eval = star_matcher_.Evaluate(q, &priority);
-    result->matches = std::move(eval.matches);
-    // Keep the resolved star state on the node only when the delta path may
-    // consume it for children — otherwise drop it here so chase nodes do not
-    // pin table snapshots past the view cache's eviction decisions.
-    if (opts_.use_delta_eval) result->star_state = std::move(eval.state);
+    result->matches = compute_matches(&result->star_state);
     if (opts_.use_memo) match_memo_.emplace(fp, result->matches);
   }
 
-  result->rel = Classify(universe_, result->matches, rep_);
-  result->cl = result->rel.AnswerCloseness(opts_.closeness.lambda);
-  result->cl_plus = result->rel.UpperBound();
-
-  // Q(G) ⊨ ℰ: the answer set itself must satisfy every tuple pattern and
-  // constraint. Re-running the Lemma 2.2 procedure over the (small) match
-  // set decides this exactly.
-  if (!result->matches.empty()) {
-    RepResult over_answer = ComputeRep(closeness_, w_.exemplar, result->matches);
-    result->satisfies_exemplar = over_answer.nontrivial;
-  }
-  h_evaluate_ns_->Observe(NowNs() - t0);
+  JudgeAnswer(*result);
+  h_evaluate_ns_->Observe(obs::MonotonicNowNs() - t0);
   return result;
+}
+
+std::shared_ptr<EvalResult> ChaseContext::Evaluate(const PatternQuery& q,
+                                                   OpSequence ops) {
+  return EvaluateWith(
+      q, std::move(ops), [&](std::shared_ptr<const StarEvalState>* state) {
+        // Verify exemplar-close candidates first (TA-style ordering, §5.2).
+        std::function<double(NodeId)> priority = [this](NodeId v) {
+          return rep_.ClosenessOf(v);
+        };
+        auto eval = star_matcher_.Evaluate(q, &priority);
+        *state = std::move(eval.state);
+        return std::move(eval.matches);
+      });
 }
 
 std::shared_ptr<EvalResult> ChaseContext::EvaluateBaseline(PatternQuery q,
@@ -279,18 +286,11 @@ std::shared_ptr<EvalResult> ChaseContext::EvaluateBaseline(PatternQuery q,
   // The reformulation baseline evaluates from scratch with the plain
   // matcher: no star views, no cache, no memo, no chase counters (those are
   // this paper's contributions; the baseline of [21] has none of them).
-  // cl⁺ stays 0 — the baseline never prunes by bound.
-  auto result = std::make_shared<EvalResult>();
-  result->query = std::move(q);
-  result->ops = std::move(ops);
-  result->cost = cost;
+  auto result = NewResult(std::move(q), std::move(ops), cost);
   result->matches = star_matcher_.matcher().Answer(result->query);
-  result->rel = Classify(universe_, result->matches, rep_);
-  result->cl = result->rel.AnswerCloseness(opts_.closeness.lambda);
-  if (!result->matches.empty()) {
-    result->satisfies_exemplar =
-        ComputeRep(closeness_, w_.exemplar, result->matches).nontrivial;
-  }
+  JudgeAnswer(*result);
+  // cl⁺ stays 0 — the baseline never prunes by bound.
+  result->cl_plus = 0;
   return result;
 }
 

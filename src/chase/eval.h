@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "chase/why.h"
+#include "common/function_ref.h"
 #include "exemplar/relevance.h"
 #include "exemplar/rep.h"
 #include "graph/adom.h"
@@ -42,10 +43,10 @@ struct EvalResult {
   bool refined = false;  // ops contains at least one refinement operator
 
   /// Star-view state of the evaluation that produced `matches` (the
-  /// decomposition plus resolved tables). Carried only when
-  /// ChaseOptions::use_delta_eval is set; null on memo hits and on results
-  /// restored from elsewhere. The delta evaluator reuses it for this node's
-  /// children — null simply forces table resolution through the cache.
+  /// decomposition plus resolved tables). Null on memo hits, on baseline
+  /// evaluations and on results restored from elsewhere. The delta evaluator
+  /// reuses it for this node's children — null simply forces table
+  /// resolution through the cache.
   std::shared_ptr<const StarEvalState> star_state;
 };
 
@@ -70,7 +71,7 @@ struct ChaseStats {
   uint64_t ops_generated = 0;     // picky operators produced
   uint64_t pruned = 0;            // chase nodes pruned by §5.4
   uint64_t bound_cuts = 0;        // refine children cut by the parent's cl⁺
-                                  // bound before evaluation (delta path)
+                                  // bound before evaluation
   double elapsed_seconds = 0;
   TerminationReason termination = TerminationReason::kExhausted;
   /// Per-phase breakdown of this run (from the context's tracer): where the
@@ -183,8 +184,21 @@ class ChaseContext {
   /// owner, which outlives the contexts).
   ~ChaseContext();
 
-  /// Evaluates a rewrite: answer, relevance, closeness. Matches are memoized
-  /// by query fingerprint; `ops` and its cost are recorded per call.
+  /// Computes Q(G) for a rewrite the memo does not know, and may hand back
+  /// the star-view state that produced it (left null otherwise).
+  using MatchSetFn =
+      FunctionRef<std::vector<NodeId>(std::shared_ptr<const StarEvalState>*)>;
+
+  /// The one evaluation body behind every chase evaluation: records the
+  /// rewrite (`ops` and its cost), answers Q(G) from the fingerprint memo or
+  /// by calling `compute_matches`, keeps the evaluation counters, and judges
+  /// the answer (relevance, cl, cl⁺, Q(G) ⊨ ℰ). Only the match-set
+  /// computation varies between callers.
+  std::shared_ptr<EvalResult> EvaluateWith(const PatternQuery& q,
+                                           OpSequence ops,
+                                           MatchSetFn compute_matches);
+
+  /// Evaluates a rewrite from scratch through the star views.
   std::shared_ptr<EvalResult> Evaluate(const PatternQuery& q, OpSequence ops);
 
   /// Evaluates a rewrite with the plain exact matcher — no star views, no
@@ -233,10 +247,13 @@ class ChaseContext {
   obs::Observability& obs() { return *obs_; }
 
  private:
-  /// The delta evaluation path (chase/delta_eval) is a second front door to
-  /// this context's memo, stats, and star matcher — it must mirror the full
-  /// path's accounting exactly, which member access keeps honest.
-  friend class DeltaEvaluator;
+  /// A result carrying the rewrite, its derivation and cost.
+  static std::shared_ptr<EvalResult> NewResult(PatternQuery q, OpSequence ops,
+                                               double cost);
+
+  /// Judges `result->matches` against the exemplar: relevance sets, cl, cl⁺
+  /// and whether Q(G) ⊨ ℰ.
+  void JudgeAnswer(EvalResult& result) const;
 
   const Graph& g_;
   WhyQuestion w_;

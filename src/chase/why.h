@@ -26,6 +26,9 @@ struct WhyQuestion {
 
 /// Tunables for all Q-Chase algorithms. Defaults follow the paper's
 /// experimental setup (§7): budget B = 3, edge bounds capped at b_m = 3.
+/// Evaluation strategy is not a tunable: chase children are always
+/// evaluated as deltas against their parent (DESIGN.md "Incremental
+/// evaluation") through the compiled match pipeline ("Match pipeline").
 struct ChaseOptions {
   /// Query-updating cost budget B.
   double budget = 3.0;
@@ -55,26 +58,6 @@ struct ChaseOptions {
   /// subtree pruning and cl* early termination. Off = the AnsWb ablation
   /// (which also implies use_cache = false in the paper's setup).
   bool use_pruning = true;
-
-  /// Incremental star re-verification (DESIGN.md "Incremental evaluation"):
-  /// evaluate a child rewrite as a delta against its parent — reuse the
-  /// parent's star tables for untouched stars, re-verify only the affected
-  /// focus candidates (new candidates after a relaxation, surviving parent
-  /// matches after a refinement), and cut refine children whose parent cl⁺
-  /// bound already falls under the incumbent threshold. Falls back to full
-  /// evaluation whenever the delta is not provably local (focus-touching
-  /// ops, mixed-polarity payloads, no parent state). Match sets — and hence
-  /// every answer — are identical either way; only the work differs. Off =
-  /// the abl_delta_eval control arm.
-  bool use_delta_eval = true;
-
-  /// Compiled, staged match pipeline (DESIGN.md "Match pipeline"): per-node
-  /// filters compile once per query-node signature into FilterPlans (label
-  /// seed + attribute predicates grouped by AttrId) and candidate probes run
-  /// a single merged walk of each node's sorted attribute tuple instead of
-  /// re-interpreting literals. Answers are byte-identical either way; off =
-  /// the abl_match_pipeline control arm.
-  bool use_match_pipeline = true;
 
   /// Recognize rewrites already reached by another operator order. The
   /// naive AnsWb baseline turns this off and enumerates the raw Q-Chase
@@ -140,10 +123,11 @@ struct ChaseOptions {
   Status Validate() const;
 
   /// FNV-1a hash over the solver-relevant knobs (budget, bounds, closeness
-  /// config, toggles, beam, top_k, seed, caps). Identifies "same workload
-  /// configuration" in query-log records; deliberately excludes runtime-only
-  /// fields (threads, deadlines, observability/log pointers, cache_dir) so
-  /// re-running a logged query on different hardware hashes identically.
+  /// config, the cache/memo/pruning/dedup toggles, beam, random_ops, seed,
+  /// top_k, caps). Identifies "same workload configuration" in query-log
+  /// records; deliberately excludes runtime-only fields (threads, deadlines,
+  /// observability/log pointers, cache_dir) so re-running a logged query on
+  /// different hardware hashes identically.
   uint64_t Fingerprint() const;
 };
 

@@ -4,7 +4,6 @@
 
 #include "chase/diagnosis.h"
 #include "chase/engine.h"
-#include "match/candidates.h"
 
 namespace wqe {
 

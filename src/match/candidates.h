@@ -4,22 +4,8 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "query/query.h"
 
 namespace wqe {
-
-/// True iff graph node v is a candidate of query node u (§2.1): labels agree
-/// (⊥ matches anything) and every literal of F_Q(u) holds on v's tuple.
-bool IsCandidate(const Graph& g, const PatternQuery& q, QNodeId u, NodeId v);
-
-/// Candidate set V_u, enumerated through the label index (or all nodes for
-/// the ⊥ label), sorted ascending.
-std::vector<NodeId> ComputeCandidates(const Graph& g, const PatternQuery& q,
-                                      QNodeId u);
-
-/// Candidate sets for every query node (inactive nodes get empty sets).
-std::vector<std::vector<NodeId>> AllCandidates(const Graph& g,
-                                               const PatternQuery& q);
 
 /// a \ b over ascending sorted NodeId vectors. The delta evaluation path
 /// (chase/delta_eval) verifies only `candidates \ parent_matches` after a

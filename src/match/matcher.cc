@@ -89,9 +89,8 @@ const Matcher::MatchPlan& Matcher::PlanFor(const PatternQuery& q) {
   return *plan_cache_;
 }
 
-bool Matcher::Extend(const PatternQuery& q, const MatchPlan& plan, size_t depth,
-                     std::vector<NodeId>& assign,
-                     std::vector<bool>& /*used*/, size_t limit, size_t& emitted,
+bool Matcher::Extend(const MatchPlan& plan, size_t depth,
+                     std::vector<NodeId>& assign, size_t limit, size_t& emitted,
                      const std::vector<const std::vector<NodeId>*>* allowed,
                      const std::function<bool(const std::vector<NodeId>&)>& cb) {
   if (depth == plan.steps.size()) {
@@ -115,7 +114,7 @@ bool Matcher::Extend(const PatternQuery& q, const MatchPlan& plan, size_t depth,
 
   for (NodeId v : ball) {
     ++stats_.node_expansions;
-    if (!Admits(q, plan, step.node, v)) continue;
+    if (!plan.filters.at(step.node).Admits(g_.view(), v)) continue;
     if (allowed != nullptr && (*allowed)[step.node] != nullptr) {
       const auto& ok = *(*allowed)[step.node];
       if (!std::binary_search(ok.begin(), ok.end(), v)) continue;
@@ -147,9 +146,8 @@ bool Matcher::Extend(const PatternQuery& q, const MatchPlan& plan, size_t depth,
     }
     if (!ok) continue;
     assign[step.node] = v;
-    std::vector<bool> unused;
     const bool keep_going =
-        Extend(q, plan, depth + 1, assign, unused, limit, emitted, allowed, cb);
+        Extend(plan, depth + 1, assign, limit, emitted, allowed, cb);
     assign[step.node] = kInvalidNode;
     if (!keep_going) return false;
   }
@@ -160,19 +158,12 @@ void Matcher::Valuations(
     const PatternQuery& q, NodeId focus_match, size_t limit,
     const std::function<bool(const std::vector<NodeId>&)>& cb) {
   ++stats_.focus_verifications;
-  const MatchPlan* plan = nullptr;
-  if (use_pipeline_) {
-    plan = &PlanFor(q);
-    if (!plan->filters.at(q.focus()).Admits(g_.view(), focus_match)) return;
-  } else {
-    if (!IsCandidate(g_, q, q.focus(), focus_match)) return;
-    plan = &PlanFor(q);
-  }
+  const MatchPlan& plan = PlanFor(q);
+  if (!plan.filters.at(q.focus()).Admits(g_.view(), focus_match)) return;
   std::vector<NodeId> assign(q.num_nodes(), kInvalidNode);
   assign[q.focus()] = focus_match;
-  std::vector<bool> unused;
   size_t emitted = 0;
-  Extend(q, *plan, 0, assign, unused, limit, emitted, nullptr, cb);
+  Extend(plan, 0, assign, limit, emitted, nullptr, cb);
 }
 
 bool Matcher::IsMatch(const PatternQuery& q, NodeId v) {
@@ -194,21 +185,16 @@ bool Matcher::IsMatchRestricted(
     const PatternQuery& q, const MatchPlan& plan, NodeId v,
     const std::vector<const std::vector<NodeId>*>& allowed) {
   ++stats_.focus_verifications;
-  if (use_pipeline_) {
-    if (!plan.filters.at(q.focus()).Admits(g_.view(), v)) return false;
-  } else {
-    if (!IsCandidate(g_, q, q.focus(), v)) return false;
-  }
+  if (!plan.filters.at(q.focus()).Admits(g_.view(), v)) return false;
   if (allowed[q.focus()] != nullptr) {
     const auto& ok = *allowed[q.focus()];
     if (!std::binary_search(ok.begin(), ok.end(), v)) return false;
   }
   std::vector<NodeId> assign(q.num_nodes(), kInvalidNode);
   assign[q.focus()] = v;
-  std::vector<bool> unused;
   size_t emitted = 0;
   bool found = false;
-  Extend(q, plan, 0, assign, unused, 1, emitted, &allowed,
+  Extend(plan, 0, assign, 1, emitted, &allowed,
          [&](const std::vector<NodeId>&) {
            found = true;
            return false;
@@ -217,17 +203,6 @@ bool Matcher::IsMatchRestricted(
 }
 
 std::vector<NodeId> Matcher::FocusCandidates(const PatternQuery& q) {
-  if (!use_pipeline_) {
-    // Legacy interpreted scan; fed through the same funnel counters so the
-    // ablation compares time, not accounting.
-    const QueryNode& qn = q.node(q.focus());
-    stats_.candidates_seeded += qn.label == kWildcardSymbol
-                                    ? g_.num_nodes()
-                                    : g_.NodesWithLabel(qn.label).size();
-    std::vector<NodeId> out = ComputeCandidates(g_, q, q.focus());
-    stats_.candidates_filtered += out.size();
-    return out;
-  }
   const MatchPlan& plan = PlanFor(q);
   std::vector<NodeId> out = match::ComputeCandidatesCompiled(
       g_, plan.filters.at(q.focus()), &stats_.candidates_seeded);
@@ -252,9 +227,7 @@ std::vector<NodeId> Matcher::Answer(const PatternQuery& q, size_t num_threads) {
   // distance index. Verdicts land in index-addressed slots and are folded in
   // candidate order, so the answer is byte-identical to the serial loop.
   PerThread<Matcher> workers(threads, [this] {
-    auto m = std::unique_ptr<Matcher>(new Matcher(g_, dist_));
-    m->set_use_pipeline(use_pipeline_);
-    return m;
+    return std::unique_ptr<Matcher>(new Matcher(g_, dist_));
   });
   std::vector<uint8_t> is_match(candidates.size(), 0);
   ParallelFor(threads, 0, candidates.size(), /*grain=*/8,

@@ -11,7 +11,6 @@
 #include "graph/bfs.h"
 #include "graph/distance_index.h"
 #include "graph/graph.h"
-#include "match/candidates.h"
 #include "match/filter_plan.h"
 #include "query/query.h"
 
@@ -48,13 +47,10 @@ struct MatchStats {
 /// already-assigned pattern neighbor, then checks every other assigned
 /// neighbor through the distance index.
 ///
-/// Candidate filtering runs one of two ways, byte-identical in output:
-///  - pipeline on (the default): every per-node probe goes through the
-///    query's compiled FilterPlans (label stage + one merged tuple walk),
-///    and focus candidates are produced stage-by-stage (label-bucket seed →
-///    batch predicate filter) over a selection vector;
-///  - pipeline off: the legacy interpreted IsCandidate / ComputeCandidates
-///    path (the abl_match_pipeline control arm).
+/// Candidate filtering runs through the compiled match pipeline: every
+/// per-node probe goes through the query's FilterPlans (label stage + one
+/// merged tuple walk), and focus candidates are produced stage by stage
+/// (label-bucket seed → batch predicate filter) over a selection vector.
 class Matcher {
  public:
   class SharedPlans;
@@ -67,11 +63,6 @@ class Matcher {
   /// re-planned by another. The pointee must outlive this matcher.
   void set_shared_plans(SharedPlans* plans) { shared_plans_ = plans; }
 
-  /// Toggles the compiled staged pipeline (on by default; off = the legacy
-  /// per-node interpreted path). Answers are identical either way.
-  void set_use_pipeline(bool on) { use_pipeline_ = on; }
-  bool use_pipeline() const { return use_pipeline_; }
-
   /// The answer Q(G): all matches of the focus u_o. With num_threads > 1
   /// (0 = hardware concurrency) the focus candidates are sharded over worker
   /// matchers — each with its own BFS scratch over the shared frozen graph
@@ -80,8 +71,7 @@ class Matcher {
   std::vector<NodeId> Answer(const PatternQuery& q, size_t num_threads = 1);
 
   /// The focus candidate set V_{u_o}, sorted ascending: label-bucket seed +
-  /// compiled predicate stage when the pipeline is on, the interpreted
-  /// ComputeCandidates scan otherwise. Bumps candidates_seeded/_filtered.
+  /// compiled predicate stage. Bumps candidates_seeded/_filtered.
   std::vector<NodeId> FocusCandidates(const PatternQuery& q);
 
   /// Whether some valuation maps the focus to `v`.
@@ -146,16 +136,7 @@ class Matcher {
   /// the focus is inactive (cannot happen: focus defines activity).
   std::vector<PlanStep> BuildPlan(const PatternQuery& q) const;
 
-  /// Per-node candidate probe during the backtracking search: the compiled
-  /// filter when the pipeline is on, interpreted IsCandidate otherwise.
-  bool Admits(const PatternQuery& q, const MatchPlan& plan, QNodeId u,
-              NodeId v) const {
-    return use_pipeline_ ? plan.filters.at(u).Admits(g_.view(), v)
-                         : IsCandidate(g_, q, u, v);
-  }
-
-  bool Extend(const PatternQuery& q, const MatchPlan& plan, size_t depth,
-              std::vector<NodeId>& assign, std::vector<bool>& used_query_nodes,
+  bool Extend(const MatchPlan& plan, size_t depth, std::vector<NodeId>& assign,
               size_t limit, size_t& emitted,
               const std::vector<const std::vector<NodeId>*>* allowed,
               const std::function<bool(const std::vector<NodeId>&)>& cb);
@@ -165,7 +146,6 @@ class Matcher {
   BoundedBfs bfs_;
   MatchStats stats_;
   SharedPlans* shared_plans_ = nullptr;
-  bool use_pipeline_ = true;
 
   // Single-entry plan memo keyed by query fingerprint. Holds a shared_ptr so
   // a plan pulled from (or published to) the cross-matcher memo stays alive

@@ -40,13 +40,6 @@ void StarMatcher::set_shared_plans(Matcher::SharedPlans* plans) {
   for (auto& worker : workers_) worker->set_shared_plans(plans);
 }
 
-void StarMatcher::set_use_pipeline(bool on) {
-  use_pipeline_ = on;
-  matcher_.set_use_pipeline(on);
-  materializer_.set_use_pipeline(on);
-  for (auto& worker : workers_) worker->set_use_pipeline(on);
-}
-
 void StarMatcher::set_deadline(const Deadline* d) {
   deadline_ = d;
   materializer_.set_deadline(d);
@@ -136,7 +129,7 @@ std::shared_ptr<const StarEvalState> StarMatcher::ResolveTables(
       }
     }
     if (table == nullptr && materialize_missing) {
-      if (use_pipeline_ && plans == nullptr) {
+      if (plans == nullptr) {
         plans = &matcher_.PlanFor(q).filters;
       }
       table = materializer_.Materialize(q, star, plans);
@@ -216,7 +209,6 @@ std::vector<NodeId> StarMatcher::VerifyCandidates(
     while (workers_.size() + 1 < threads) {
       workers_.push_back(std::make_unique<Matcher>(g_, &matcher_.dist()));
       workers_.back()->set_shared_plans(shared_plans_);
-      workers_.back()->set_use_pipeline(use_pipeline_);
     }
     std::vector<uint8_t> is_match(candidates.size(), 0);
     ParallelFor(threads, 0, candidates.size(), /*grain=*/4,

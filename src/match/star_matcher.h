@@ -73,11 +73,6 @@ class StarMatcher {
   /// worker, current and future (workers are created lazily). Null detaches.
   void set_shared_plans(Matcher::SharedPlans* plans);
 
-  /// Toggles the compiled staged match pipeline on the primary matcher, the
-  /// verification workers, and the star materializer (on by default; off =
-  /// the interpreted control arm). Answers are byte-identical either way.
-  void set_use_pipeline(bool on);
-
   /// Arms a wall-clock deadline for Evaluate: table materialization and
   /// candidate verification check it every kDeadlineCheckStride items and
   /// throw DeadlineExceeded, so one long pass cannot blow far past
@@ -97,8 +92,8 @@ class StarMatcher {
                       const std::function<double(NodeId)>* priority = nullptr);
 
   /// The focus candidate set V_{u_o} as a pipeline selection vector:
-  /// label-bucket seed + compiled predicate stage (or the interpreted scan
-  /// when the pipeline is off). Bumps the match.stage.seeded/filtered
+  /// label-bucket seed + compiled predicate stage. Bumps the
+  /// match.stage.seeded/filtered
   /// funnel; the delta evaluation path's relax step consumes this instead of
   /// reaching into the candidate scan itself.
   match::CandidateSet FocusCandidates(const PatternQuery& q);
@@ -147,7 +142,6 @@ class StarMatcher {
   ViewCache* cache_;
   StarEvalStats stats_;
   size_t num_threads_ = 1;
-  bool use_pipeline_ = true;
   const Deadline* deadline_ = nullptr;
   Matcher::SharedPlans* shared_plans_ = nullptr;
   /// Worker matchers for parallel verification, one per slot >= 1 (slot 0

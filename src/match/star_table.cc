@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "common/thread_pool.h"
-#include "match/candidates.h"
 #include "match/matcher.h"
 
 namespace wqe {
@@ -16,18 +15,16 @@ const StarRow* StarTable::RowOfCenter(NodeId v) const {
 
 bool StarMaterializer::BuildRow(const PatternQuery& q, const StarQuery& star,
                                 NodeId c, BoundedBfs& bfs,
-                                const match::QueryFilterPlans* plans,
+                                const match::QueryFilterPlans& plans,
                                 StarRow& row) const {
   row.center = c;
   row.spoke_matches.resize(star.spokes.size());
   bool viable = true;
 
-  // Per-node candidate probe: the compiled filter when the pipeline is on
-  // (one merged tuple walk per visited node, no literal re-interpretation),
-  // the interpreted path otherwise. Same conjunction, same rows.
+  // Per-node candidate probe: one merged tuple walk per visited node, no
+  // literal re-interpretation.
   auto admits = [&](QNodeId u, NodeId w) {
-    return plans != nullptr ? plans->at(u).Admits(g_.view(), w)
-                            : IsCandidate(g_, q, u, w);
+    return plans.at(u).Admits(g_.view(), w);
   };
 
   for (size_t s = 0; s < star.spokes.size() && viable; ++s) {
@@ -65,24 +62,13 @@ std::shared_ptr<const StarTable> StarMaterializer::Materialize(
   // memoized plans when provided, a local compilation otherwise (one per
   // table build, amortized across all rows).
   match::QueryFilterPlans local_plans;
-  const match::QueryFilterPlans* plans_ptr = nullptr;
-  std::vector<NodeId> centers;
-  uint64_t seeded = 0;
-  if (use_pipeline_) {
-    if (plans == nullptr) {
-      local_plans = match::QueryFilterPlans::Compile(q);
-      plans = &local_plans;
-    }
-    plans_ptr = plans;
-    centers =
-        match::ComputeCandidatesCompiled(g_, plans->at(star.center), &seeded);
-  } else {
-    const QueryNode& center = q.node(star.center);
-    seeded = center.label == kWildcardSymbol
-                 ? g_.num_nodes()
-                 : g_.NodesWithLabel(center.label).size();
-    centers = ComputeCandidates(g_, q, star.center);
+  if (plans == nullptr) {
+    local_plans = match::QueryFilterPlans::Compile(q);
+    plans = &local_plans;
   }
+  uint64_t seeded = 0;
+  const std::vector<NodeId> centers =
+      match::ComputeCandidatesCompiled(g_, plans->at(star.center), &seeded);
   if (stats_ != nullptr) {
     stats_->candidates_seeded += seeded;
     stats_->candidates_filtered += centers.size();
@@ -104,7 +90,7 @@ std::shared_ptr<const StarTable> StarMaterializer::Materialize(
     for (size_t i = 0; i < centers.size(); ++i) {
       MaybeThrowIfExpired(deadline_, i);
       viable[i] =
-          BuildRow(q, star, centers[i], bfs_, plans_ptr, built[i]) ? 1 : 0;
+          BuildRow(q, star, centers[i], bfs_, *plans, built[i]) ? 1 : 0;
     }
   } else {
     PerThread<BoundedBfs> scratch(threads, [this] {
@@ -115,7 +101,7 @@ std::shared_ptr<const StarTable> StarMaterializer::Materialize(
                   MaybeThrowIfExpired(deadline_, i);
                   BoundedBfs& bfs = slot == 0 ? bfs_ : scratch.at(slot);
                   viable[i] =
-                      BuildRow(q, star, centers[i], bfs, plans_ptr, built[i])
+                      BuildRow(q, star, centers[i], bfs, *plans, built[i])
                           ? 1
                           : 0;
                 });

@@ -117,11 +117,6 @@ class StarMaterializer {
   /// assembled in center order, so tables are identical for every setting.
   void set_num_threads(size_t n) { num_threads_ = n; }
 
-  /// Toggles the compiled match pipeline for row construction: per-star
-  /// FilterPlans compiled once per Materialize replace the per-node
-  /// interpreted candidate probes. Tables are identical either way.
-  void set_use_pipeline(bool on) { use_pipeline_ = on; }
-
   /// Sink for the candidate-funnel counters (candidates_seeded/_filtered):
   /// table builds are where center candidates are actually seeded from label
   /// buckets and filtered by predicates, so the stage accounting lives here.
@@ -139,23 +134,21 @@ class StarMaterializer {
   /// (center candidates whose every spoke has at least one match and, for
   /// focus-augmented stars, at least one focus candidate in range). `plans`,
   /// when non-null, supplies `q`'s already-compiled filters (the matcher's
-  /// plan memo holds them per rewrite); null compiles a local set — only
-  /// relevant with the pipeline on.
+  /// plan memo holds them per rewrite); null compiles a local set.
   std::shared_ptr<const StarTable> Materialize(
       const PatternQuery& q, const StarQuery& star,
       const match::QueryFilterPlans* plans = nullptr);
 
  private:
-  /// The row for center candidate `c`, or false if not viable. `plans` holds
-  /// the query's compiled filters when the pipeline is on, null otherwise.
+  /// The row for center candidate `c`, or false if not viable. Every node
+  /// probe runs `plans`, the query's compiled filters.
   bool BuildRow(const PatternQuery& q, const StarQuery& star, NodeId c,
-                BoundedBfs& bfs, const match::QueryFilterPlans* plans,
+                BoundedBfs& bfs, const match::QueryFilterPlans& plans,
                 StarRow& row) const;
 
   const Graph& g_;
   BoundedBfs bfs_;
   size_t num_threads_ = 1;
-  bool use_pipeline_ = true;
   MatchStats* stats_ = nullptr;
   const Deadline* deadline_ = nullptr;
 };

@@ -9,6 +9,7 @@
 #include "gen/synthetic.h"
 #include "match/candidate_set.h"
 #include "match/filter_plan.h"
+#include "reference_candidates.h"
 #include "workload/query_gen.h"
 
 namespace wqe {

@@ -2,14 +2,17 @@
 // the delta-aware evaluator must produce *byte-identical* solver output to
 // full evaluation — same answers, same matches, same closeness, same chase
 // tree (steps/pruned) — across every algorithm bundle and thread count; only
-// the work counters (evaluations, tables built) may shrink. The match-set
-// reconstruction itself is checked directly against the brute-force
-// reference oracle on random graphs, op by op, including the
-// not-provably-local payloads that must fall back to full evaluation.
+// the work counters (evaluations, tables built) may shrink. End to end, the
+// full-evaluation reference is the output recorded from the retired
+// full-evaluation arm (tests/golden/off_arm_goldens.txt), and every reported
+// answer is re-derived with the plain matcher. The match-set reconstruction
+// itself is checked directly against the brute-force reference oracle on
+// random graphs, op by op, including the not-provably-local payloads that
+// must fall back to full evaluation.
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 
 #include "chase/delta_eval.h"
 #include "chase/engine.h"
@@ -17,6 +20,7 @@
 #include "chase/next_op.h"
 #include "chase/solve.h"
 #include "chase/why_not.h"
+#include "chase_goldens.h"
 #include "common/rng.h"
 #include "gen/datasets.h"
 #include "gen/product_demo.h"
@@ -27,37 +31,23 @@
 namespace wqe {
 namespace {
 
-ChaseOptions BaseOptions(size_t num_threads, bool use_delta) {
+ChaseOptions BaseOptions(size_t num_threads) {
   ChaseOptions o;
   o.budget = 3;
   o.max_steps = 2000;
   o.top_k = 2;
   o.num_threads = num_threads;
-  o.use_delta_eval = use_delta;
   return o;
 }
 
-/// Everything a ChaseResult reports that must be invariant under the delta
-/// path: termination, the explored tree (steps, pruned — the bound cut counts
-/// a skipped child as pruned exactly like its post-evaluation verdict would),
-/// and every answer byte. `evaluations` is deliberately excluded: shrinking
-/// it is the whole point.
-std::string InvariantFingerprint(const ChaseResult& r) {
-  std::ostringstream out;
-  out << static_cast<int>(r.termination()) << '|' << r.stats.steps << '|'
-      << r.stats.ops_generated << '|' << r.stats.pruned << '|' << r.cl_star
-      << '\n';
-  for (const WhyAnswer& a : r.answers) {
-    out << a.fingerprint << '|' << a.cost << '|' << a.closeness << '|'
-        << a.satisfies_exemplar << '|';
-    for (NodeId v : a.matches) out << v << ',';
-    out << '\n';
-  }
-  return out.str();
+/// The evaluation count the full-evaluation arm recorded under `key`.
+uint64_t GoldenEvaluations(const std::string& key) {
+  return std::stoull(OffArmGolden(key + "/evaluations"));
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: all seven solver bundles, delta on vs off, 1 and 4 threads.
+// End-to-end: every solver bundle against the full-evaluation goldens, at 1
+// and 4 threads.
 // ---------------------------------------------------------------------------
 
 TEST(DeltaEvalTest, EveryAlgorithmIdenticalWithDeltaOnAndOff) {
@@ -67,22 +57,28 @@ TEST(DeltaEvalTest, EveryAlgorithmIdenticalWithDeltaOnAndOff) {
   fopts.disturb.num_ops = 2;
   fopts.seed = 11;
   auto cases = MakeBenchCases(g, 2, fopts);
-  ASSERT_FALSE(cases.empty());
+  ASSERT_EQ(cases.size(), 2u);
+  DistanceIndex dist(g);
+  Matcher matcher(g, &dist);
 
   for (const Algorithm algo :
        {Algorithm::kAnsW, Algorithm::kAnsWE, Algorithm::kAnsHeu,
         Algorithm::kFMAnsW, Algorithm::kApxWhyM}) {
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      for (const BenchCase& c : cases) {
-        ChaseResult off = Solve(g, c.question, BaseOptions(threads, false), algo);
-        ChaseResult on = Solve(g, c.question, BaseOptions(threads, true), algo);
-        ASSERT_TRUE(off.ok() && on.ok()) << AlgorithmName(algo);
-        EXPECT_EQ(InvariantFingerprint(off), InvariantFingerprint(on))
-            << AlgorithmName(algo) << " threads=" << threads;
+    for (size_t i = 0; i < cases.size(); ++i) {
+      const std::string key =
+          std::string("delta_off/") + AlgorithmName(algo) + "/" +
+          std::to_string(i);
+      for (const size_t threads : {size_t{1}, size_t{4}}) {
+        ChaseResult r = Solve(g, cases[i].question, BaseOptions(threads), algo);
+        ASSERT_TRUE(r.ok()) << AlgorithmName(algo);
+        EXPECT_EQ(InvariantFingerprint(r), OffArmGolden(key))
+            << key << " threads=" << threads;
         // The delta path may only ever do less work, never more.
-        EXPECT_LE(on.stats.evaluations, off.stats.evaluations)
-            << AlgorithmName(algo);
-        EXPECT_EQ(off.stats.bound_cuts, 0u) << AlgorithmName(algo);
+        EXPECT_LE(r.stats.evaluations, GoldenEvaluations(key)) << key;
+        for (const WhyAnswer& a : r.answers) {
+          EXPECT_EQ(a.matches, matcher.Answer(a.rewrite))
+              << key << " " << a.fingerprint;
+        }
       }
     }
   }
@@ -99,8 +95,8 @@ TEST(DeltaEvalTest, DeltaOnIsByteIdenticalAcrossThreadCounts) {
 
   for (const Algorithm algo : {Algorithm::kAnsW, Algorithm::kAnsHeu}) {
     for (const BenchCase& c : cases) {
-      ChaseResult serial = Solve(g, c.question, BaseOptions(1, true), algo);
-      ChaseResult parallel = Solve(g, c.question, BaseOptions(4, true), algo);
+      ChaseResult serial = Solve(g, c.question, BaseOptions(1), algo);
+      ChaseResult parallel = Solve(g, c.question, BaseOptions(4), algo);
       ASSERT_TRUE(serial.ok() && parallel.ok());
       EXPECT_EQ(InvariantFingerprint(serial), InvariantFingerprint(parallel))
           << AlgorithmName(algo);
@@ -119,35 +115,20 @@ TEST(DeltaEvalTest, MultiFocusIdenticalWithDeltaOnAndOff) {
   std::vector<NodeId> sprint = {demo.sprint()};
   w.exemplars.push_back(Exemplar::FromEntities(demo.graph(), sprint));
 
-  auto run = [&](bool use_delta) {
-    ChaseOptions o;
-    o.budget = 4;
-    o.use_delta_eval = use_delta;
-    return AnsWMultiFocus(demo.graph(), w, o);
-  };
-  const MultiFocusResult off = run(false);
-  const MultiFocusResult on = run(true);
-  ASSERT_EQ(off.answers.size(), on.answers.size());
-  for (size_t i = 0; i < off.answers.size(); ++i) {
-    EXPECT_EQ(off.answers[i].fingerprint, on.answers[i].fingerprint);
-    EXPECT_EQ(off.answers[i].total_closeness, on.answers[i].total_closeness);
-    EXPECT_EQ(off.answers[i].matches_per_focus, on.answers[i].matches_per_focus);
-  }
-  EXPECT_EQ(off.stats.steps, on.stats.steps);
-  EXPECT_EQ(off.stats.pruned, on.stats.pruned);
-  EXPECT_LE(on.stats.evaluations, off.stats.evaluations);
+  ChaseOptions o;
+  o.budget = 4;
+  const MultiFocusResult r = AnsWMultiFocus(demo.graph(), w, o);
+  EXPECT_EQ(MultiFocusFingerprint(r), OffArmGolden("delta_off/multi_focus"));
+  EXPECT_LE(r.stats.evaluations, GoldenEvaluations("delta_off/multi_focus"));
 }
 
 TEST(DeltaEvalTest, WhyNotIdenticalWithDeltaOnAndOff) {
   ProductDemo demo;
-  auto explain = [&](bool use_delta) {
-    ChaseOptions o;
-    o.budget = 4;
-    o.use_delta_eval = use_delta;
-    ChaseContext ctx(demo.graph(), demo.Question(), o);
-    return ExplainWhyNot(ctx, demo.p(3)).ToString(demo.graph());
-  };
-  EXPECT_EQ(explain(false), explain(true));
+  ChaseOptions o;
+  o.budget = 4;
+  ChaseContext ctx(demo.graph(), demo.Question(), o);
+  EXPECT_EQ(ExplainWhyNot(ctx, demo.p(3)).ToString(demo.graph()),
+            OffArmGolden("delta_off/why_not"));
 }
 
 // ---------------------------------------------------------------------------
@@ -242,10 +223,9 @@ TEST(DeltaEvalTest, SingleOpDeltasMatchBruteForceOracle) {
       auto eval = delta.Evaluate(child, ops, ctx->root().get(), {scored.op});
       EXPECT_EQ(eval->matches, reference.Answer(child))
           << "seed=" << seed << " op=" << scored.op.ToString(g.schema());
-      // The delta result must also agree byte-for-byte with the full path.
-      ChaseOptions full_opts = ctx->options();
-      full_opts.use_delta_eval = false;
-      ChaseContext full_ctx(g, {q, ctx->question().exemplar}, full_opts);
+      // The delta result must also agree byte-for-byte with a full
+      // evaluation in a fresh context.
+      ChaseContext full_ctx(g, {q, ctx->question().exemplar}, ctx->options());
       auto full = full_ctx.Evaluate(child, ops);
       EXPECT_EQ(eval->matches, full->matches);
       EXPECT_EQ(eval->cl, full->cl);
@@ -391,7 +371,7 @@ TEST(DeltaEvalTest, EngineBoundCutSkipsRefineOnlyChildrenPreEvaluation) {
   } accept;
 
   size_t evaluated = 0;
-  ChaseOptions opts;  // use_delta_eval defaults on
+  ChaseOptions opts;
   engine::EngineConfig cfg;
   cfg.opts = &opts;
   cfg.accept = &accept;
@@ -418,15 +398,6 @@ TEST(DeltaEvalTest, EngineBoundCutSkipsRefineOnlyChildrenPreEvaluation) {
   EXPECT_EQ(state.bound_cuts, 1u);
   EXPECT_EQ(pruned, 1u);
   EXPECT_EQ(evaluated, 1u);
-
-  // With the delta path off, the cut must not fire at all.
-  opts.use_delta_eval = false;
-  engine::ListFrontier replay(&q, {{{refine}, 1.0, -1}}, &parent);
-  cfg.frontier = &replay;
-  engine::ChaseState state2(&steps, &pruned);
-  engine::Run(cfg, state2);
-  EXPECT_EQ(state2.bound_cuts, 0u);
-  EXPECT_EQ(evaluated, 2u);
 }
 
 TEST(DeltaEvalTest, RefineDeltaReusesParentTablesWithoutMaterializing) {

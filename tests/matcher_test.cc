@@ -3,15 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <sstream>
+#include <string>
 
 #include "chase/eval.h"
 #include "chase/multi_focus.h"
 #include "chase/solve.h"
 #include "chase/why_not.h"
+#include "chase_goldens.h"
 #include "gen/datasets.h"
 #include "gen/product_demo.h"
 #include "gen/synthetic.h"
+#include "reference_matcher.h"
 #include "store/artifact_store.h"
 #include "store/serde.h"
 #include "workload/suite.h"
@@ -158,54 +160,37 @@ TEST_F(MatcherFixture, StatsAccumulate) {
 }
 
 // --- Match pipeline parity (DESIGN.md "Match pipeline"): the compiled
-// --- filter-plan pipeline must be an invisible substitution — byte-identical
-// --- answers with the pipeline on or off, at any thread count, and whether
-// --- the graph is heap-built or mmap-attached from a store v2 bundle.
+// --- filter-plan pipeline must be an invisible substitution for the
+// --- interpreted reference semantics — byte-identical answers against the
+// --- brute-force oracle and against the output recorded from the retired
+// --- interpreted arm (tests/golden/off_arm_goldens.txt), at any thread
+// --- count, and whether the graph is heap-built or mmap-attached from a
+// --- store v2 bundle.
 
-TEST_F(MatcherFixture, PipelineTogglePreservesAnswers) {
+TEST_F(MatcherFixture, PipelineAnswersMatchReferenceOracle) {
   const Graph& g = demo_.graph();
   PatternQuery wildcard;
   QNodeId any = wildcard.AddNode(kWildcardSymbol);
   wildcard.SetFocus(any);
   wildcard.AddLiteral(
       any, {g.schema().LookupAttr("discount"), CmpOp::kGe, Value::Num(20)});
+  ReferenceMatcher reference(g);
   for (const PatternQuery& q : {demo_.Query(), wildcard}) {
-    matcher_.set_use_pipeline(false);
-    const auto interpreted = matcher_.Answer(q);
-    matcher_.set_use_pipeline(true);
-    const auto compiled = matcher_.Answer(q);
-    EXPECT_EQ(interpreted, compiled);
+    EXPECT_EQ(matcher_.Answer(q), reference.Answer(q));
   }
 }
 
-ChaseOptions ParityOptions(bool use_pipeline, size_t num_threads) {
+ChaseOptions ParityOptions(size_t num_threads) {
   ChaseOptions o;
   o.budget = 3;
   o.max_steps = 2000;
   o.top_k = 2;
   o.num_threads = num_threads;
-  o.use_match_pipeline = use_pipeline;
   return o;
 }
 
-/// Deterministic fingerprint of everything a ChaseResult reports except
-/// wall-clock fields and resource telemetry (mirrors
-/// parallel_determinism_test.cc — byte-identity, not tolerance).
-std::string ResultFingerprint(const ChaseResult& r) {
-  std::ostringstream out;
-  out << static_cast<int>(r.termination()) << '|' << r.stats.steps << '|'
-      << r.stats.evaluations << '|' << r.stats.ops_generated << '|'
-      << r.stats.pruned << '|' << r.cl_star << '\n';
-  for (const WhyAnswer& a : r.answers) {
-    out << a.fingerprint << '|' << a.cost << '|' << a.closeness << '|'
-        << a.satisfies_exemplar << '|';
-    for (NodeId v : a.matches) out << v << ',';
-    out << '\n';
-  }
-  return out.str();
-}
-
-// Every solver bundle, pipeline on/off, serial and parallel: one contract.
+// Every solver bundle, serial and parallel, against the interpreted arm's
+// recorded output: one contract.
 TEST(MatchPipelineParityTest, EveryAlgorithmIdenticalPipelineOnOff) {
   Graph g = GenerateGraph(ImdbLike(0.04));
   WhyFactoryOptions fopts;
@@ -214,22 +199,26 @@ TEST(MatchPipelineParityTest, EveryAlgorithmIdenticalPipelineOnOff) {
   fopts.disturb.num_ops = 2;
   fopts.seed = 21;
   auto cases = MakeBenchCases(g, 2, fopts);
-  ASSERT_FALSE(cases.empty());
+  ASSERT_EQ(cases.size(), 2u);
+  DistanceIndex dist(g);
+  Matcher matcher(g, &dist);
 
   for (const Algorithm algo :
        {Algorithm::kAnsW, Algorithm::kAnsWE, Algorithm::kAnsHeu,
         Algorithm::kFMAnsW, Algorithm::kApxWhyM}) {
-    for (const BenchCase& c : cases) {
-      const ChaseResult interp =
-          Solve(g, c.question, ParityOptions(false, 1), algo);
-      ASSERT_TRUE(interp.ok()) << AlgorithmName(algo);
-      const std::string want = ResultFingerprint(interp);
+    for (size_t i = 0; i < cases.size(); ++i) {
+      const std::string key = std::string("pipeline_off/") +
+                              AlgorithmName(algo) + "/" + std::to_string(i);
       for (const size_t threads : {size_t{1}, size_t{4}}) {
         const ChaseResult piped =
-            Solve(g, c.question, ParityOptions(true, threads), algo);
+            Solve(g, cases[i].question, ParityOptions(threads), algo);
         ASSERT_TRUE(piped.ok()) << AlgorithmName(algo);
-        EXPECT_EQ(want, ResultFingerprint(piped))
-            << AlgorithmName(algo) << " threads=" << threads;
+        EXPECT_EQ(ResultFingerprint(piped), OffArmGolden(key))
+            << key << " threads=" << threads;
+        for (const WhyAnswer& a : piped.answers) {
+          EXPECT_EQ(a.matches, matcher.Answer(a.rewrite))
+              << key << " " << a.fingerprint;
+        }
       }
     }
   }
@@ -244,36 +233,21 @@ TEST(MatchPipelineParityTest, MultiFocusIdenticalPipelineOnOff) {
   std::vector<NodeId> sprint = {demo.sprint()};
   w.exemplars.push_back(Exemplar::FromEntities(demo.graph(), sprint));
 
-  auto run = [&](bool use_pipeline) {
-    ChaseOptions o;
-    o.budget = 4;
-    o.use_match_pipeline = use_pipeline;
-    return AnsWMultiFocus(demo.graph(), w, o);
-  };
-  const MultiFocusResult interp = run(false);
-  const MultiFocusResult piped = run(true);
-  ASSERT_EQ(interp.answers.size(), piped.answers.size());
-  for (size_t i = 0; i < interp.answers.size(); ++i) {
-    EXPECT_EQ(interp.answers[i].fingerprint, piped.answers[i].fingerprint);
-    EXPECT_EQ(interp.answers[i].total_closeness,
-              piped.answers[i].total_closeness);
-    EXPECT_EQ(interp.answers[i].matches_per_focus,
-              piped.answers[i].matches_per_focus);
-  }
-  EXPECT_EQ(interp.stats.steps, piped.stats.steps);
-  EXPECT_EQ(interp.stats.evaluations, piped.stats.evaluations);
+  ChaseOptions o;
+  o.budget = 4;
+  const MultiFocusResult piped = AnsWMultiFocus(demo.graph(), w, o);
+  EXPECT_EQ("evaluations=" + std::to_string(piped.stats.evaluations) + "\n" +
+                MultiFocusFingerprint(piped),
+            OffArmGolden("pipeline_off/multi_focus"));
 }
 
 TEST(MatchPipelineParityTest, WhyNotIdenticalPipelineOnOff) {
   ProductDemo demo;
-  auto explain = [&](bool use_pipeline) {
-    ChaseOptions o;
-    o.budget = 4;
-    o.use_match_pipeline = use_pipeline;
-    ChaseContext ctx(demo.graph(), demo.Question(), o);
-    return ExplainWhyNot(ctx, demo.p(3)).ToString(demo.graph());
-  };
-  EXPECT_EQ(explain(false), explain(true));
+  ChaseOptions o;
+  o.budget = 4;
+  ChaseContext ctx(demo.graph(), demo.Question(), o);
+  EXPECT_EQ(ExplainWhyNot(ctx, demo.p(3)).ToString(demo.graph()),
+            OffArmGolden("pipeline_off/why_not"));
 }
 
 // Heap-built vs mmap-attached (Graph::Attach via the store v2 bundle): the
@@ -311,7 +285,7 @@ TEST_F(PipelineMmapFixture, HeapAndMappedAnswersIdentical) {
         Algorithm::kFMAnsW, Algorithm::kApxWhyM}) {
     Request req;
     req.question = demo_.Question();
-    req.options = ParityOptions(true, 1);
+    req.options = ParityOptions(1);
     req.algorithm = algo;
     const Response heap_resp = Execute(g, &heap, nullptr, nullptr, req);
     const Response mapped_resp =

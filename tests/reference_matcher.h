@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "graph/bfs.h"
-#include "match/candidates.h"
+#include "reference_candidates.h"
 #include "query/query.h"
 
 namespace wqe {

@@ -4,6 +4,8 @@
 
 #include "chase/answ.h"  // legacy wrapper, must stay equivalent
 #include "gen/product_demo.h"
+#include "obs/observability.h"
+#include "obs/query_log.h"
 
 namespace wqe {
 namespace {
@@ -194,6 +196,53 @@ TEST(SolveTest, RejectsInvalidOptionsBeforeSearching) {
 TEST(SolveTest, ValidOptionsPassValidate) {
   EXPECT_TRUE(ChaseOptions().Validate().ok());
   EXPECT_TRUE(DemoOptions().Validate().ok());
+}
+
+// ChaseOptions::Fingerprint names "the same workload configuration" in
+// query-log records: every solver-relevant field must move it, and no
+// runtime-only field may.
+TEST(ChaseOptionsTest, FingerprintCoversSolverFieldsOnly) {
+  const ChaseOptions base;
+  const uint64_t base_fp = base.Fingerprint();
+  EXPECT_EQ(ChaseOptions().Fingerprint(), base_fp);
+
+  const std::vector<std::pair<const char*, void (*)(ChaseOptions&)>>
+      solver_fields = {
+          {"budget", [](ChaseOptions& o) { o.budget = 4; }},
+          {"max_bound", [](ChaseOptions& o) { o.max_bound = 2; }},
+          {"theta", [](ChaseOptions& o) { o.closeness.theta += 0.125; }},
+          {"lambda", [](ChaseOptions& o) { o.closeness.lambda += 0.125; }},
+          {"use_cache", [](ChaseOptions& o) { o.use_cache = false; }},
+          {"use_memo", [](ChaseOptions& o) { o.use_memo = false; }},
+          {"use_pruning", [](ChaseOptions& o) { o.use_pruning = false; }},
+          {"dedup_rewrites",
+           [](ChaseOptions& o) { o.dedup_rewrites = false; }},
+          {"beam", [](ChaseOptions& o) { o.beam = 5; }},
+          {"random_ops", [](ChaseOptions& o) { o.random_ops = true; }},
+          {"seed", [](ChaseOptions& o) { o.seed = 7; }},
+          {"top_k", [](ChaseOptions& o) { o.top_k = 3; }},
+          {"max_witnesses", [](ChaseOptions& o) { o.max_witnesses = 9; }},
+          {"max_diagnosed_nodes",
+           [](ChaseOptions& o) { o.max_diagnosed_nodes = 10; }},
+          {"max_steps", [](ChaseOptions& o) { o.max_steps = 11; }},
+      };
+  for (const auto& [name, mutate] : solver_fields) {
+    ChaseOptions o;
+    mutate(o);
+    EXPECT_NE(o.Fingerprint(), base_fp) << name;
+  }
+
+  obs::Observability scope;
+  auto log = obs::QueryLog::Open(::testing::TempDir() + "/options_fp.jsonl");
+  ASSERT_TRUE(log.ok());
+  ChaseOptions runtime;
+  runtime.num_threads = 4;
+  runtime.deadline = Deadline::After(60);
+  runtime.time_limit_seconds = 30;
+  runtime.observability = &scope;
+  runtime.query_log = log.value().get();
+  runtime.cache_dir = ::testing::TempDir();
+  EXPECT_EQ(runtime.Fingerprint(), base_fp);
 }
 
 TEST(SolveTest, StepCapReportsTermination) {

@@ -49,7 +49,7 @@ done
 # DeltaEvaluator the engine installs), never by calling Matcher::Answer or
 # StarMatcher::Evaluate directly — a direct call bypasses the memo, the
 # delta path, and the evaluation stats, so its answers silently diverge
-# from what `use_delta_eval` toggling is tested against.
+# from the one evaluation body that the equivalence goldens pin.
 for pattern in '\.Answer\(' 'star_matcher[_()]*\.Evaluate\('; do
   if hits=$(grep -rnE "$pattern" src/chase \
       --include='*.cc' --include='*.h' \
@@ -62,18 +62,38 @@ for pattern in '\.Answer\(' 'star_matcher[_()]*\.Evaluate\('; do
   fi
 done
 # The compiled match pipeline (src/match/filter_plan.{h,cc}) owns ALL
-# per-node candidate probing outside src/match: chase-layer code must go
-# through compiled FilterPlans (plan.Admits / match::LiteralHolds) or the
-# StarMatcher candidate stages — a raw IsCandidate / per-literal
+# per-node candidate probing: the interpreted IsCandidate /
+# ComputeCandidates / AllCandidates reference lives in tests/ as an oracle
+# and must not come back into the library.
+for pattern in 'IsCandidate\(' 'ComputeCandidates\(' 'AllCandidates\('; do
+  if hits=$(grep -rnE "$pattern" src --include='*.cc' --include='*.h'); then
+    echo "lint: forbidden pattern '$pattern' in src (the interpreted"
+    echo "      candidate reference is a test oracle; use the compiled"
+    echo "      FilterPlans / StarMatcher::FocusCandidates):"
+    echo "$hits"
+    LINT_FAIL=1
+  fi
+done
+# Chase-layer code must go through compiled FilterPlans (plan.Admits /
+# match::LiteralHolds) or the StarMatcher candidate stages — a per-literal
 # Literal::Matches probe re-interprets the filter per node and silently
 # bypasses the plan memo, the stage counters, and the merged-walk kernels.
-for pattern in 'IsCandidate\(' 'ComputeCandidates\(' 'AllCandidates\(' \
-               'SortedDifference\(' 'SortedUnion\(' '\.Matches\('; do
+for pattern in 'SortedDifference\(' 'SortedUnion\(' '\.Matches\('; do
   if hits=$(grep -rnE "$pattern" src/chase \
       --include='*.cc' --include='*.h'); then
     echo "lint: forbidden pattern '$pattern' in src/chase (use the compiled"
     echo "      match pipeline: FilterPlan::Admits / match::LiteralHolds /"
     echo "      StarMatcher::FocusCandidates / match::CandidateSet kernels):"
+    echo "$hits"
+    LINT_FAIL=1
+  fi
+done
+# Evaluation has one strategy: incremental delta evaluation over the
+# compiled match pipeline. The retired control-arm switches must not return
+# (the bracketed last letter keeps this file from matching itself).
+for pattern in 'use_delta_eva[l]' 'use_match_pipelin[e]' 'set_use_pipelin[e]'; do
+  if hits=$(grep -rnE "$pattern" src bench tools); then
+    echo "lint: retired evaluation toggle '$pattern' reintroduced:"
     echo "$hits"
     LINT_FAIL=1
   fi
